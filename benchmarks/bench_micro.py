@@ -3,7 +3,9 @@
 Not a paper figure — these measure the Python implementation's own
 hot paths (operator kernels, DI dispatch, queue operations, the
 simulator's event loop) so regressions in the substrate are visible
-independently of the experiment-level numbers.
+independently of the experiment-level numbers.  The dispatcher has one
+batch path, so the unbatched dispatch benchmarks (the scalar side of
+each scalar/batched pair) run it at batch size 1.
 """
 
 from repro.core.dataflow import Dispatcher

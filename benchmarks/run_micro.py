@@ -4,7 +4,10 @@
 Times the scalar/batched kernel pairs from ``bench_micro.py`` without a
 pytest-benchmark dependency and writes a JSON report (default:
 ``BENCH_micro.json`` at the repo root) recording elements/sec for each
-variant plus the batched-over-scalar speedup.
+variant plus the batched-over-scalar speedup.  The dispatcher has a
+single batch path, so on the ``di_dispatch``, ``run_queue`` and
+``fused_vo_chain`` pairs ``scalar`` means batch size 1 (``inject`` is
+a batch of one); the names stay so the history keeps lining up.
 
 The report keeps a history: each invocation appends (or refreshes) an
 entry in the ``runs`` list keyed by the current git commit, so CI

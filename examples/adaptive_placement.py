@@ -22,8 +22,8 @@ Run with::
 from repro import (
     CollectingSink,
     ConstantRateSource,
+    Engine,
     QueryBuilder,
-    ThreadedEngine,
     ots_config,
 )
 from repro.core import AdaptiveReplacer
@@ -79,8 +79,10 @@ def main() -> None:
     initial_queues = len(graph.queues())
 
     stats = StatisticsRegistry(alpha=0.4)
-    engine = ThreadedEngine(graph, ots_config(graph), stats=stats)
-    replacer = AdaptiveReplacer(engine, stats, min_elements=100)
+    engine = Engine.from_graph(graph, config=ots_config(graph), stats=stats)
+    # The controller re-places queues through the thread backend's
+    # runtime-splice API, so it drives the inner engine.
+    replacer = AdaptiveReplacer(engine.inner, stats, min_elements=100)
 
     engine.start()
     replacer.start(interval_s=0.1)

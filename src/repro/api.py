@@ -1,9 +1,9 @@
 """Unified engine facade: one construction path for every backend.
 
-PRs 1-4 accreted several ways to build and run an engine —
-``ThreadedEngine(graph, config)``, ``ProcessEngine(graph, config)``,
-``make_engine(graph, config, stats)`` — each with its own knob spelling
-and error surface.  This module is the single public entry point:
+There are two backend engine classes —
+``ThreadedEngine(graph, config)`` and ``ProcessEngine(graph, config)``
+— each with its own constructor.  This module is the single public
+entry point:
 
 * :meth:`Engine.from_graph` builds the right backend engine from a
   graph, an optional partitioning (in any of the shapes users actually
@@ -25,9 +25,6 @@ contract: a failed run populates ``EngineReport.failure`` *and* raises
 :class:`~repro.errors.SanitizerError`) with the report attached on the
 exception's ``.report``; pass ``raise_on_failure=False`` to
 :meth:`Engine.run` to get the report back instead.
-
-The old :func:`repro.core.engine.make_engine` remains as a thin
-deprecated shim over this module's construction path.
 
 Example::
 

@@ -23,7 +23,10 @@ simulated) is built on this dispatcher, which is what makes the paper's
 operators never change, only who calls the dispatcher and where the
 queues sit.
 
-Two per-element overheads are amortized away on the hot path:
+There is one data path, batch-at-a-time.  A batch of one *is* the
+paper's element-at-a-time chain reaction; larger batches (paper
+Section 5, batch-wise queue processing) only amortize it.  Two
+per-element overheads are amortized away:
 
 * **Compiled dispatch plans** — instead of resolving
   ``graph.out_edges()`` plus ``isinstance`` checks per dispatch, the
@@ -38,7 +41,8 @@ Two per-element overheads are amortized away on the hot path:
   preserved: at fan-out points (a node with several out-edges) the
   batch degrades to the element-wise interleaving so graphs that
   re-converge (e.g. a join fed from both sides of a split) observe
-  exactly the scalar arrival order.
+  the same arrival order whatever the batch size.
+  :meth:`Dispatcher.inject` is the batch of one.
 * **Fused virtual-operator segments** — a straight-line run of
   operators (each stage has exactly one out-edge leading to another
   non-queue operator) is a segment of a virtual operator (paper
@@ -62,7 +66,6 @@ from typing import (
     Callable,
     ContextManager,
     Dict,
-    Iterable,
     List,
     Optional,
     Sequence,
@@ -81,7 +84,6 @@ from repro.stats.estimators import StatisticsRegistry
 from repro.streams.elements import (
     Punctuation,
     StreamElement,
-    is_data,
     is_end,
 )
 from repro.streams.sinks import Sink
@@ -92,9 +94,6 @@ __all__ = ["Dispatcher"]
 _KIND_OPERATOR = 0
 _KIND_QUEUE = 1
 _KIND_SINK = 2
-
-#: Fallback pop granularity for run_queue when no batch size is given.
-_DEFAULT_POP_CHUNK = 64
 
 # A plan entry: (kind, payload, out, out_reversed, fused) where out is a
 # tuple of (consumer, port) pairs in edge-declaration order and fused is
@@ -267,9 +266,8 @@ class Dispatcher:
     def plan_out(self, node: Node) -> tuple:
         """Compiled ``(consumer, port)`` fan-out of ``node``.
 
-        Generation-cached: engines use this instead of re-resolving
-        ``graph.out_edges`` on the per-batch hot path; queue splices
-        invalidate it automatically.
+        Generation-cached: callers use this instead of re-resolving
+        ``graph.out_edges``; queue splices invalidate it automatically.
         """
         return self._plan_for(node)[2]
 
@@ -292,42 +290,28 @@ class Dispatcher:
     def inject(self, node: Node, element: StreamElement, port: int = 0) -> None:
         """Deliver ``element`` to ``node``'s input ``port`` and run DI.
 
-        The chain reaction stops at decoupling queues (the element is
-        buffered) and at sinks (the element is consumed).
+        A batch of one: the paper's element-at-a-time chain reaction.
         """
-        # Depth-first traversal with an explicit stack (query graphs can
-        # be deep; DI must not be limited by Python's recursion limit).
-        plan_for = self._plan_for
-        stack: List[Tuple[Node, StreamElement, int]] = [(node, element, port)]
-        while stack:
-            current, item, in_port = stack.pop()
-            kind, payload, _, out_reversed, _ = plan_for(current)
-            if kind == _KIND_SINK:
-                self._deliver_to_sink(current, payload, item)
-                continue
-            if kind == _KIND_QUEUE:
-                payload.process(item, in_port)
-                continue
-            outputs = self._invoke(current, item, in_port)
-            if outputs:
-                for output in reversed(list(outputs)):
-                    for consumer, out_port in out_reversed:
-                        stack.append((consumer, output, out_port))
+        self.inject_batch(node, [element], port)
 
     def inject_batch(
         self, node: Node, elements: Sequence[StreamElement], port: int = 0
     ) -> None:
         """Deliver a micro-batch to ``node``'s input ``port`` and run DI.
 
-        Produces exactly the outputs of injecting the elements one by
-        one, but pays the dispatch cost (plan lookup, lock, operator
-        call) once per batch per node instead of once per element.  At
-        nodes with more than one out-edge the traversal falls back to
-        the element-wise interleaving so downstream arrival order is
-        bit-for-bit identical to the scalar path.
+        The chain reaction stops at decoupling queues (the elements are
+        buffered) and at sinks (the elements are consumed).  Produces
+        exactly the outputs of injecting the elements one by one, but
+        pays the dispatch cost (plan lookup, lock, operator call) once
+        per batch per node instead of once per element.  At nodes with
+        more than one out-edge the traversal falls back to the
+        element-wise interleaving so downstream arrival order does not
+        depend on the batch size.
         """
         if not elements:
             return
+        # Depth-first traversal with an explicit stack (query graphs can
+        # be deep; DI must not be limited by Python's recursion limit).
         plan_for = self._plan_for
         stack: List[Tuple[Node, List[StreamElement], int]] = [
             (node, list(elements), port)
@@ -389,14 +373,28 @@ class Dispatcher:
             with self._lock_for(current):
                 flush = operator.end_port(in_port)
             if flush:
-                data_stack: List[Tuple[Node, StreamElement, int]] = []
-                self._fan_out(current, flush, data_stack)
-                while data_stack:
-                    nxt, item, nxt_port = data_stack.pop()
-                    self.inject(nxt, item, nxt_port)
+                self._deliver(current, flush)
             if operator.closed:
                 for edge in self.graph.out_edges(current):
                     stack.append((edge.consumer, None, edge.port))
+
+    def _deliver(self, node: Node, elements: List[StreamElement]) -> None:
+        """Hand elements ``node`` produced to its compiled fan-out.
+
+        The one hand-off rule shared by sources, queue drains and
+        end-of-stream flushes: the whole batch goes to a single
+        out-edge, while a fan-out interleaves per element and per edge
+        (edge-declaration order), as the DI traversal itself does.
+        Every hand-off enters DI through :meth:`inject_batch`.
+        """
+        out = self._plan_for(node)[2]
+        if len(out) == 1:
+            consumer, port = out[0]
+            self.inject_batch(consumer, elements, port)
+            return
+        for element in elements:
+            for consumer, port in out:
+                self.inject_batch(consumer, [element], port)
 
     # ------------------------------------------------------------------
     # Queue consumption (used by schedulers)
@@ -405,60 +403,26 @@ class Dispatcher:
         self,
         queue_node: Node,
         max_items: int | None = None,
-        batch_size: int | None = None,
+        batch_size: int = 1,
     ) -> int:
         """Pop up to ``max_items`` buffered items and run DI downstream.
 
         Returns the number of *data* elements processed.  An
         END_OF_STREAM marker popped from the buffer is forwarded as an
         end signal to the queue's consumer — mid-batch, any data popped
-        before the marker is dispatched first, exactly as on the scalar
-        path.
+        before the marker is dispatched first.
 
         Args:
             queue_node: The decoupling queue to drain.
             max_items: Cap on processed data elements (None = drain).
-            batch_size: When > 1, transfer items out of the queue in
-                bulk (one lock per batch) and dispatch them downstream
-                via :meth:`inject_batch`.  None or 1 keeps the classic
-                element-wise pop/inject loop.
+            batch_size: Items transferred out of the queue per lock
+                acquisition (bulk ``pop_many``) and dispatched
+                downstream as one :meth:`inject_batch`; 1 is the
+                paper's element-at-a-time processing.
         """
         queue_op = queue_node.payload
         if not isinstance(queue_op, QueueOperator):
             raise SchedulingError(f"{queue_node.name!r} is not a queue node")
-        if batch_size is not None and batch_size > 1:
-            return self._run_queue_batched(
-                queue_node, queue_op, max_items, batch_size
-            )
-        _, _, out, _, _ = self._plan_for(queue_node)
-        processed = 0
-        remaining = max_items if max_items is not None else float("inf")
-        while remaining > 0:
-            item = queue_op.try_pop()
-            if item is None:
-                break
-            if is_data(item):
-                assert isinstance(item, StreamElement)
-                for consumer, out_port in out:
-                    self.inject(consumer, item, out_port)
-                processed += 1
-                remaining -= 1
-            elif is_end(item):
-                for consumer, out_port in out:
-                    self.inject_end(consumer, out_port)
-            # NO_ELEMENT markers are meaningful only to pull-based
-            # proxies; a push scheduler simply skips them.
-        return processed
-
-    def _run_queue_batched(
-        self,
-        queue_node: Node,
-        queue_op: QueueOperator,
-        max_items: int | None,
-        batch_size: int,
-    ) -> int:
-        _, _, out, _, _ = self._plan_for(queue_node)
-        single = out[0] if len(out) == 1 else None
         processed = 0
         remaining = max_items
         while remaining is None or remaining > 0:
@@ -472,34 +436,20 @@ class Dispatcher:
                     run.append(item)
                 elif is_end(item):
                     if run:
-                        processed += self._dispatch_run(out, single, run)
+                        self._deliver(queue_node, run)
+                        processed += len(run)
                         run = []
-                    for consumer, out_port in out:
+                    for consumer, out_port in self._plan_for(queue_node)[2]:
                         self.inject_end(consumer, out_port)
-                # NO_ELEMENT markers are simply skipped.
+                # NO_ELEMENT markers are meaningful only to pull-based
+                # proxies; a push scheduler simply skips them.
             if run:
-                processed += self._dispatch_run(out, single, run)
+                self._deliver(queue_node, run)
+                processed += len(run)
             if remaining is not None:
                 # Only data counts toward the cap; punctuations are free.
                 remaining = max_items - processed
         return processed
-
-    def _dispatch_run(
-        self,
-        out: tuple,
-        single: tuple | None,
-        run: List[StreamElement],
-    ) -> int:
-        if single is not None:
-            consumer, out_port = single
-            self.inject_batch(consumer, run, out_port)
-        else:
-            # Multiple consumers: keep the scalar per-element edge
-            # interleaving (see inject_batch fan-out note).
-            for item in run:
-                for consumer, out_port in out:
-                    self.inject(consumer, item, out_port)
-        return len(run)
 
     # ------------------------------------------------------------------
     # Internals
@@ -572,40 +522,13 @@ class Dispatcher:
             self._op_metrics[node] = metrics
         return metrics
 
-    def _invoke(
-        self, node: Node, element: StreamElement, port: int
-    ) -> List[StreamElement]:
-        self._count_invocations(1)
-        if self._access_check is not None:
-            # locking=False under the sanitizer: no node lock serializes
-            # this operator, so a second thread here is a data race.
-            self._access_check(node, node.name)
-        if not self._timed:
-            with self._lock_for(node):
-                return node.operator.process(element, port)
-        with self._lock_for(node):
-            started = time.perf_counter_ns()
-            outputs = node.operator.process(element, port)
-            elapsed = time.perf_counter_ns() - started
-            if self.observer is not None:
-                # Inside the node lock: the lock (or, with locking=False,
-                # the single thread owning this node) serializes writers
-                # per instrument, keeping updates lock-free.
-                metrics = self._op_metrics.get(node) or self._metrics_for(node)
-                metrics.observe(
-                    1, len(outputs), elapsed, element.timestamp, element.timestamp
-                )
-        if self.stats is not None:
-            self.stats.observe(
-                node, arrival_ns=element.timestamp, processing_ns=elapsed
-            )
-        return outputs
-
     def _invoke_batch(
         self, node: Node, elements: List[StreamElement], port: int
     ) -> List[StreamElement]:
         self._count_invocations(len(elements))
         if self._access_check is not None:
+            # locking=False under the sanitizer: no node lock serializes
+            # this operator, so a second thread here is a data race.
             self._access_check(node, node.name)
         if not self._timed:
             with self._lock_for(node):
@@ -618,14 +541,17 @@ class Dispatcher:
             outputs = node.operator.process_batch(elements, port)
             elapsed = time.perf_counter_ns() - started
             if self.observer is not None:
+                # Inside the node lock: the lock (or, with locking=False,
+                # the single thread owning this node) serializes writers
+                # per instrument, keeping updates lock-free.
                 metrics = self._op_metrics.get(node) or self._metrics_for(node)
                 metrics.observe(
                     n_in, len(outputs), elapsed, first_ts, last_ts
                 )
         if self.stats is not None:
             # Amortize the batch's processing time over its elements so
-            # the measured per-element cost c(v) stays comparable to the
-            # scalar path; arrivals keep their own timestamps for d(v).
+            # the measured per-element cost c(v) stays comparable across
+            # batch sizes; arrivals keep their own timestamps for d(v).
             per_element = elapsed / n_in
             observe = self.stats.observe
             for element in elements:
@@ -633,28 +559,6 @@ class Dispatcher:
                     node, arrival_ns=element.timestamp, processing_ns=per_element
                 )
         return outputs
-
-    def _fan_out(
-        self,
-        node: Node,
-        outputs: Iterable[StreamElement],
-        stack: List[Tuple[Node, StreamElement, int]],
-    ) -> None:
-        edges = self.graph.out_edges(node)
-        # Both loops run reversed so that the stack (last-in first-out)
-        # pops elements in production order and edges in declaration
-        # order.
-        for output in reversed(list(outputs)):
-            for edge in reversed(edges):
-                stack.append((edge.consumer, output, edge.port))
-
-    def _deliver_to_sink(
-        self, node: Node, sink: object, element: StreamElement
-    ) -> None:
-        assert isinstance(sink, Sink)
-        with self._lock_for(node):
-            sink.receive(element)
-        self._count_sink_deliveries(1)
 
     def _deliver_batch_to_sink(
         self, node: Node, sink: object, elements: List[StreamElement]

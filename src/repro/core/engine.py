@@ -31,11 +31,19 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from typing import (
+    TYPE_CHECKING,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+)
 
 if TYPE_CHECKING:
     from repro.analysis.sanitizer import ConcurrencySanitizer
-    from repro.obs.registry import MetricsRegistry
+    from repro.obs.registry import MetricsRegistry, PartitionMetrics
     from repro.obs.tracer import EventTracer
 
 from repro.core.dataflow import Dispatcher
@@ -52,13 +60,15 @@ from repro.graph.node import Node
 from repro.graph.query_graph import Edge, QueryGraph
 from repro.operators.queue_op import QueueOperator
 from repro.stats.estimators import StatisticsRegistry
+from repro.streams.elements import StreamElement
 from repro.streams.sinks import Sink
 from repro.streams.sources import Source
 
 __all__ = [
     "ThreadedEngine",
     "EngineReport",
-    "make_engine",
+    "run_grant",
+    "source_batches",
     "spsc_eligible_queues",
 ]
 
@@ -91,25 +101,58 @@ def _construct_engine(
     return ThreadedEngine(graph, config, stats)
 
 
-def make_engine(
-    graph: QueryGraph,
-    config: EngineConfig,
-    stats: Optional[StatisticsRegistry] = None,
-):
-    """Deprecated: use :class:`repro.api.Engine` / ``open_engine``.
+def source_batches(
+    source: Source,
+    batch_size: int,
+    pace: bool,
+    time_scale: float,
+    stopped: Callable[[], bool],
+) -> Iterator[List[StreamElement]]:
+    """Replay ``source`` as DI batches of up to ``batch_size`` elements.
 
-    Thin shim kept for source compatibility with pre-facade call sites;
-    behaves exactly like the facade's construction path.
+    The source loop of both backends.  With ``pace`` every element is
+    held back until its (scaled) timestamp, so a paced batch goes out at
+    its last element's release time; the partial batch left at the end
+    of the stream is flushed.  ``stopped`` is polled before every
+    element: once it returns True the replay ends, dropping the partial
+    batch.
     """
-    import warnings
+    started = time.monotonic()
+    batch: List[StreamElement] = []
+    for element in source:
+        if stopped():
+            return
+        if pace:
+            delay = started + element.timestamp * time_scale / 1e9 - time.monotonic()
+            if delay > 0:
+                time.sleep(delay)
+        batch.append(element)
+        if len(batch) >= batch_size:
+            yield batch
+            batch = []
+    if batch:
+        yield batch
 
-    warnings.warn(
-        "make_engine() is deprecated; use repro.api.Engine.from_graph() "
-        "or the open_engine() context manager instead",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _construct_engine(graph, config, stats)
+
+def run_grant(
+    dispatcher: Dispatcher,
+    queue_node: Node,
+    batch_limit: Optional[int],
+    batch_size: int,
+    partition_metrics: Optional["PartitionMetrics"],
+) -> None:
+    """One level-2 grant of both backends: drain ``queue_node`` through DI.
+
+    Processes up to ``batch_limit`` data elements in ``batch_size``
+    chunks; when the partition is observed, the grant's element count
+    and wall time feed its metrics.
+    """
+    started_ns = time.perf_counter_ns() if partition_metrics is not None else 0
+    processed = dispatcher.run_queue(queue_node, batch_limit, batch_size)
+    if partition_metrics is not None:
+        partition_metrics.observe_grant(
+            processed, time.perf_counter_ns() - started_ns
+        )
 
 
 def spsc_eligible_queues(
@@ -624,54 +667,26 @@ class ThreadedEngine:
     def _source_worker_inner(self, node: Node) -> None:
         source = node.payload
         assert isinstance(source, Source)
-        pace = self.config.pace_sources
-        scale = self.config.time_scale
-        batch_size = self.config.batch_size or 1
-        started = time.monotonic()
-        batch: List = []
-        for element in source:
-            if self._abort.is_set():
-                return
-            if pace:
-                target = started + element.timestamp * scale / 1e9
-                delay = target - time.monotonic()
-                if delay > 0:
-                    time.sleep(delay)
-            if batch_size <= 1:
-                with self._work_gate():
-                    # Compiled fan-out: plan_out is generation-cached, so
-                    # runtime queue splices (which happen under pause,
-                    # never mid-gate) are picked up automatically.
-                    for consumer, port in self.dispatcher.plan_out(node):
-                        self.dispatcher.inject(consumer, element, port)
-                continue
-            # Micro-batching: buffer while pacing per element, inject the
-            # whole batch in one gated chain reaction once it fills (so a
-            # paced batch goes out at its last element's release time).
-            batch.append(element)
-            if len(batch) >= batch_size:
-                self._inject_source_batch(node, batch)
-                batch = []
-        if batch:
-            self._inject_source_batch(node, batch)
+        config = self.config
+        for batch in source_batches(
+            source,
+            config.batch_size,
+            config.pace_sources,
+            config.time_scale,
+            self._abort.is_set,
+        ):
+            # One gated chain reaction per batch.  The fan-out comes
+            # from the generation-cached plan, so runtime queue splices
+            # (which happen under pause, never mid-gate) are picked up.
+            with self._work_gate():
+                self.dispatcher._deliver(node, batch)
+        if self._abort.is_set():
+            return
         if self.tracer is not None:
             self.tracer.record("end", f"source:{node.name}")
         with self._work_gate():
             for edge in self.graph.out_edges(node):
                 self.dispatcher.inject_end(edge.consumer, edge.port)
-
-    def _inject_source_batch(self, node: Node, batch: List) -> None:
-        with self._work_gate():
-            out = self.dispatcher.plan_out(node)
-            if len(out) == 1:
-                consumer, port = out[0]
-                self.dispatcher.inject_batch(consumer, batch, port)
-            else:
-                # Multiple consumers: keep the scalar per-element edge
-                # interleaving (see Dispatcher.inject_batch).
-                for element in batch:
-                    for consumer, port in out:
-                        self.dispatcher.inject(consumer, element, port)
 
     def _partition_worker(self, spec: PartitionSpec, generation: int) -> None:
         try:
@@ -727,48 +742,22 @@ class ThreadedEngine:
                 queue_node = spec.strategy.select(ready)
                 # One work-gate bracket and (when bounded) one thread-
                 # scheduler permit covers the whole batch grant.
-                if ts is not None:
-                    if not ts.acquire(unit_id, timeout=_POLL_SECONDS * 5):
-                        continue
-                    try:
-                        with self._work_gate():
-                            if partition_metrics is None:
-                                self.dispatcher.run_queue(
-                                    queue_node,
-                                    self.config.batch_limit,
-                                    self.config.batch_size,
-                                )
-                            else:
-                                started_ns = time.perf_counter_ns()
-                                processed = self.dispatcher.run_queue(
-                                    queue_node,
-                                    self.config.batch_limit,
-                                    self.config.batch_size,
-                                )
-                                partition_metrics.observe_grant(
-                                    processed,
-                                    time.perf_counter_ns() - started_ns,
-                                )
-                    finally:
-                        ts.release(unit_id)
-                else:
+                if ts is not None and not ts.acquire(
+                    unit_id, timeout=_POLL_SECONDS * 5
+                ):
+                    continue
+                try:
                     with self._work_gate():
-                        if partition_metrics is None:
-                            self.dispatcher.run_queue(
-                                queue_node,
-                                self.config.batch_limit,
-                                self.config.batch_size,
-                            )
-                        else:
-                            started_ns = time.perf_counter_ns()
-                            processed = self.dispatcher.run_queue(
-                                queue_node,
-                                self.config.batch_limit,
-                                self.config.batch_size,
-                            )
-                            partition_metrics.observe_grant(
-                                processed, time.perf_counter_ns() - started_ns
-                            )
+                        run_grant(
+                            self.dispatcher,
+                            queue_node,
+                            self.config.batch_limit,
+                            self.config.batch_size,
+                            partition_metrics,
+                        )
+                finally:
+                    if ts is not None:
+                        ts.release(unit_id)
         finally:
             for op in queue_ops():
                 if op.push_listener is wake.set:

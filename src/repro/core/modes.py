@@ -95,7 +95,7 @@ class EngineConfig:
             unit and every source in its own worker process with
             shared-memory ring queues on the partition-crossing edges
             (:mod:`repro.mp`), which is what actually uses multiple
-            cores.  Construct via :func:`repro.core.engine.make_engine`
+            cores.  Construct via :meth:`repro.api.Engine.from_graph`
             to get the right engine for the backend.
         spsc_queues: Thread backend only: enable the lock-free
             single-producer/single-consumer fast path on every queue
@@ -111,14 +111,13 @@ class EngineConfig:
         aging_ns: Level-3 starvation-prevention aging constant.
         batch_limit: Max data elements a unit processes per grant
             (None = drain the selected queue completely).
-        batch_size: Micro-batch granularity of the hot path.  Sources
-            inject this many elements per DI chain reaction, and queue
-            workers transfer/dispatch this many items per lock
-            acquisition (bulk ``pop_many`` + ``process_batch``).  None
-            or 1 preserves the classic element-at-a-time behavior
-            exactly; larger values amortize dispatch overhead while
-            keeping per-port order and END_OF_STREAM placement
-            identical.
+        batch_size: Micro-batch granularity of the one data path.
+            Sources inject this many elements per DI chain reaction,
+            and queue workers transfer/dispatch this many items per
+            lock acquisition (bulk ``pop_many`` + ``process_batch``).
+            The default 1 is the paper's element-at-a-time DI; larger
+            values amortize dispatch overhead while keeping per-port
+            order and END_OF_STREAM placement identical.
         pace_sources: When True, source threads respect their elements'
             timestamps in (scaled) real time; when False they replay at
             full speed.
@@ -160,7 +159,7 @@ class EngineConfig:
     max_concurrency: Optional[int] = None
     aging_ns: float = 50_000_000.0
     batch_limit: Optional[int] = None
-    batch_size: Optional[int] = None
+    batch_size: int = 1
     pace_sources: bool = False
     time_scale: float = 1.0
     sanitize: bool = field(
@@ -182,9 +181,9 @@ class EngineConfig:
             raise SchedulingError(
                 f"ring_capacity must be >= 64 bytes, got {self.ring_capacity}"
             )
-        if self.batch_size is not None and self.batch_size < 1:
+        if not isinstance(self.batch_size, int) or self.batch_size < 1:
             raise SchedulingError(
-                f"batch_size must be >= 1 or None, got {self.batch_size}"
+                f"batch_size must be an int >= 1, got {self.batch_size!r}"
             )
         if self.observe_sample_interval_s <= 0:
             raise SchedulingError(

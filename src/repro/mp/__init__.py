@@ -4,7 +4,7 @@ The thread backend (:class:`repro.core.engine.ThreadedEngine`) is the
 faithful reproduction of the paper's architecture, but under CPython's
 GIL its "threads" time-slice a single core.  This package provides a
 drop-in process-backed engine — select it with
-``EngineConfig(backend="process")`` and :func:`repro.core.engine.make_engine`
+``Engine.from_graph(graph, ..., backend="process")`` (:mod:`repro.api`)
 — where every level-2 partition and every source is a worker process,
 partition-crossing queues become shared-memory SPSC rings, and the
 paper's level-3 flexibility (priorities, strategy/mode switching at

@@ -254,12 +254,24 @@ class ProcessEngine:
         while True:
             with self._handles_lock:
                 handles = list(self._handles)
-            if all(h.terminal for h in handles):
+            if all(self._finished(h) for h in handles):
                 self._wall_ns = time.monotonic_ns() - self._start_wall_ns
                 return True
             if deadline is not None and time.monotonic() >= deadline:
                 return False
             time.sleep(_POLL_SECONDS)
+
+    def _finished(self, handle: _WorkerHandle) -> bool:
+        # A worker's last message ("done" or "error") can still sit in
+        # its pipe when its exit code appears; while the pump runs, wait
+        # until it has read that pipe to the end, else the report loses
+        # the worker's results or failure.
+        if not handle.terminal:
+            return False
+        pump = self._pump_thread
+        if pump is None or not pump.is_alive():
+            return True
+        return handle.done.is_set() or handle.conn_closed
 
     def abort(self) -> None:
         """Ask every worker to exit at the next safe point."""
@@ -387,7 +399,7 @@ class ProcessEngine:
             name=f"source:{node.name}",
             pace=self.config.pace_sources,
             time_scale=self.config.time_scale,
-            batch_size=self.config.batch_size or 1,
+            batch_size=self.config.batch_size,
             observe=self.config.observe,
         )
         process = self._mp.Process(

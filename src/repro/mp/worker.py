@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import pickle
 import sys
-import time
 import traceback
 from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.dataflow import Dispatcher
+from repro.core.engine import run_grant, source_batches
 from repro.core.partition import di_region
 from repro.core.strategies import SchedulingStrategy, make_strategy
 from repro.graph.node import Node
@@ -75,7 +75,7 @@ class PartitionContext:
     conn: Any  # multiprocessing.Connection (child end)
     name: str
     batch_limit: Optional[int] = None
-    batch_size: Optional[int] = None
+    batch_size: int = 1
     permit_conn: Any = None  # permit pipe child end, when bounded
     initial_assignment: Optional[Assignment] = None
     observe: bool = False
@@ -222,25 +222,12 @@ class _SourceWorker(_WorkerBase):
         node = self.node
         source = node.payload
         assert isinstance(source, Source)
-        batch_size = self.ctx.batch_size or 1
-        started = time.monotonic()
-        batch: List = []
-        for element in source:
-            self.handle_control()
-            self.wait_while_paused()
-            if self.stopping:
-                break
-            if self.ctx.pace:
-                target = started + element.timestamp * self.ctx.time_scale / 1e9
-                delay = target - time.monotonic()
-                if delay > 0:
-                    time.sleep(delay)
-            batch.append(element)
-            if len(batch) >= batch_size:
-                self._inject(batch)
-                batch = []
-        if batch and not self.stopping:
-            self._inject(batch)
+        ctx = self.ctx
+        for batch in source_batches(
+            source, ctx.batch_size, ctx.pace, ctx.time_scale, self._stopped
+        ):
+            self._flush_spills()
+            self.dispatcher._deliver(node, batch)
         if not self.stopping:
             for edge in self.graph.out_edges(node):
                 self.dispatcher.inject_end(edge.consumer, edge.port)
@@ -250,18 +237,11 @@ class _SourceWorker(_WorkerBase):
             self.handle_control(_POLL_SECONDS)
         _send(self.conn, ("done", self._stats()))
 
-    def _inject(self, batch: List) -> None:
-        self._flush_spills()
-        out = self.dispatcher.plan_out(self.node)
-        if len(out) == 1:
-            consumer, port = out[0]
-            self.dispatcher.inject_batch(consumer, batch, port)
-        else:
-            # Fan-out keeps the scalar per-element edge interleaving so
-            # downstream order matches the thread backend exactly.
-            for element in batch:
-                for consumer, port in out:
-                    self.dispatcher.inject(consumer, element, port)
+    def _stopped(self) -> bool:
+        """Serve the control plane between elements; True once stopping."""
+        self.handle_control()
+        self.wait_while_paused()
+        return self.stopping
 
     def _sync_queue_metrics(self) -> None:
         # Producer side only: NEVER call len()/stats_view() on a
@@ -414,18 +394,13 @@ class _PartitionWorker(_WorkerBase):
             if self.permit is not None and not self._acquire_permit():
                 continue
             try:
-                if partition_metrics is None:
-                    self.dispatcher.run_queue(
-                        target, self.ctx.batch_limit, self.ctx.batch_size
-                    )
-                else:
-                    started_ns = time.perf_counter_ns()
-                    processed = self.dispatcher.run_queue(
-                        target, self.ctx.batch_limit, self.ctx.batch_size
-                    )
-                    partition_metrics.observe_grant(
-                        processed, time.perf_counter_ns() - started_ns
-                    )
+                run_grant(
+                    self.dispatcher,
+                    target,
+                    self.ctx.batch_limit,
+                    self.ctx.batch_size,
+                    partition_metrics,
+                )
             finally:
                 if self.permit is not None:
                     _send(self.permit, "rel")

@@ -16,8 +16,10 @@ which is the "queue memory usage" series plotted in Fig. 9.
 
 Bulk transfer (paper Section 5: batch-wise queue processing): the
 :meth:`push_many` / :meth:`pop_many` pair moves whole batches under a
-single lock acquisition, which is what makes the engine's
-``batch_size`` knob pay off — per-element synchronization is the
+single lock acquisition.  Schedulers always drain through
+:meth:`pop_many`: at the engine's default ``batch_size`` of 1 that is
+one element per pop (the paper's element-at-a-time processing), and
+larger batch sizes pay off because per-element synchronization is the
 dominant queue cost, not the deque operations.
 """
 

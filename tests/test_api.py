@@ -2,18 +2,16 @@
 
 Covers the construction paths (mode names, queue groups, explicit
 PartitionSpecs, operator-level Partitioning), knob normalization and
-validation, context-manager teardown, the deprecated ``make_engine``
-shim, and the unified error surface: both backends populate
-``EngineReport.failure`` *and* raise with the report attached on the
-exception.
+validation, context-manager teardown, and the unified error surface:
+both backends populate ``EngineReport.failure`` *and* raise with the
+report attached on the exception.
 """
 
 import pytest
 
-from repro import Engine, make_engine, open_engine
+from repro import Engine, open_engine
 from repro.core.engine import ThreadedEngine
 from repro.core.modes import (
-    EngineConfig,
     PartitionSpec,
     SchedulingMode,
     gts_config,
@@ -138,7 +136,7 @@ class TestConstruction:
         )
         assert engine.config.observe is True
         assert engine.config.batch_size == 8
-        assert config.observe is False and config.batch_size is None
+        assert config.observe is False and config.batch_size == 1
 
     def test_unknown_knob_rejected_with_catalogue(self):
         graph, _ = build_pipeline()
@@ -174,16 +172,6 @@ class TestOpenEngine:
         graph, sink = build_pipeline()
         with Engine.from_graph(graph) as engine:
             engine.run(timeout=30)
-        assert sink.values == EXPECTED
-
-
-class TestDeprecatedShim:
-    def test_make_engine_warns_and_still_works(self):
-        graph, sink = build_pipeline()
-        with pytest.warns(DeprecationWarning, match="open_engine"):
-            engine = make_engine(graph, gts_config(graph))
-        assert isinstance(engine, ThreadedEngine)
-        engine.run(timeout=30)
         assert sink.values == EXPECTED
 
 

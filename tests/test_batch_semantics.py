@@ -1,10 +1,12 @@
 """Batch-path equivalence: process_batch, bulk queue transfer, engines.
 
-The batch-at-a-time hot path (``Operator.process_batch``,
+The batch-at-a-time data path (``Operator.process_batch``,
 ``QueueOperator.push_many``/``pop_many``, ``Dispatcher.inject_batch`` /
-batched ``run_queue``, the engine's ``batch_size`` knob) must be
-observationally identical to the element-wise path: same outputs, same
-per-port order, same END_OF_STREAM placement.  These tests pin that
+``run_queue``, the engine's ``batch_size`` knob) must be
+observationally identical to element-at-a-time processing: same
+outputs, same per-port order, same END_OF_STREAM placement.  The
+dispatcher tests compare against per-operator ``process()`` calls, so
+batch size 1 is not only checked against itself.  These tests pin that
 contract for every operator and for all four engine modes.
 """
 
@@ -289,20 +291,46 @@ def filter_chain(selectivities=(0.9, 0.7, 0.5)):
     return graph, first, sink
 
 
+def reference_chain(graph, first, items):
+    """Element-at-a-time reference for the straight-line chain at ``first``.
+
+    Every element runs through the chain's operators via per-operator
+    ``process()`` calls, without the dispatcher.  Returns the values
+    reaching the sink and the number of operator invocations.
+    """
+    stages = []
+    node = first
+    while not node.is_sink:
+        stages.append(node.operator)
+        (node,) = graph.successors(node)
+    values, invocations = [], 0
+    for item in items:
+        wave = [item]
+        for op in stages:
+            invocations += len(wave)
+            wave = [out for element in wave for out in op.process(element)]
+        values.extend(element.value for element in wave)
+    return values, invocations
+
+
 class TestDispatcherBatch:
     def test_inject_batch_matches_inject(self):
         items = elements(range(500))
-        graph_a, first_a, sink_a = filter_chain()
-        dispatcher_a = Dispatcher(graph_a)
-        for item in items:
-            dispatcher_a.inject(first_a, item)
-        graph_b, first_b, sink_b = filter_chain()
-        dispatcher_b = Dispatcher(graph_b)
-        for start in range(0, len(items), 64):
-            dispatcher_b.inject_batch(first_b, items[start : start + 64])
-        assert sink_b.values == sink_a.values
-        assert dispatcher_b.sink_deliveries == dispatcher_a.sink_deliveries
-        assert dispatcher_b.invocations == dispatcher_a.invocations
+        expected, invocations = reference_chain(*filter_chain()[:2], items)
+        for batch_size in (1, 64):
+            graph, first, sink = filter_chain()
+            dispatcher = Dispatcher(graph)
+            if batch_size == 1:
+                for item in items:
+                    dispatcher.inject(first, item)
+            else:
+                for start in range(0, len(items), batch_size):
+                    dispatcher.inject_batch(
+                        first, items[start : start + batch_size]
+                    )
+            assert sink.values == expected
+            assert dispatcher.sink_deliveries == len(expected)
+            assert dispatcher.invocations == invocations
 
     def test_inject_batch_fan_out_preserves_interleaving(self):
         build = QueryBuilder()
@@ -317,18 +345,18 @@ class TestDispatcherBatch:
         assert sink_b.values == list(range(8))
 
     def test_run_queue_batched_matches_scalar(self):
-        def run(batch_size):
+        items = elements(range(300))
+        expected, _ = reference_chain(*filter_chain()[:2], items)
+        # The queue sits behind `first`, so it buffers what `first` passes.
+        first_op = filter_chain()[1].operator
+        queued = sum(len(first_op.process(item)) for item in items)
+        for batch_size in (1, 7, 64):
             graph, first, sink = filter_chain()
             queue = graph.insert_queue(graph.out_edges(first)[0])
             dispatcher = Dispatcher(graph)
-            dispatcher.inject_batch(first, elements(range(300)))
-            processed = dispatcher.run_queue(queue, batch_size=batch_size)
-            return processed, sink.values
-
-        scalar_processed, scalar_values = run(None)
-        batched_processed, batched_values = run(64)
-        assert batched_processed == scalar_processed
-        assert batched_values == scalar_values
+            dispatcher.inject_batch(first, items)
+            assert dispatcher.run_queue(queue, batch_size=batch_size) == queued
+            assert sink.values == expected
 
     def test_run_queue_mid_batch_end(self):
         graph, first, sink = filter_chain(selectivities=(1.0,))
@@ -383,7 +411,7 @@ class TestDispatcherBatch:
         right_q = graph.insert_queue(graph.out_edges(right.node)[0])
         return graph, left.node, right.node, left_q, right_q, sink
 
-    @pytest.mark.parametrize("batch_size", [None, 64])
+    @pytest.mark.parametrize("batch_size", [1, 64])
     def test_run_queue_end_mid_batch_through_join_and_aggregate(
         self, batch_size
     ):

@@ -140,6 +140,14 @@ class TestSpecValidation:
         with pytest.raises(SchedulingError, match="two partitions"):
             EngineConfig(mode=SchedulingMode.HMTS, partitions=specs)
 
+    @pytest.mark.parametrize("batch_size", [None, 0, -1, 1.5])
+    def test_config_rejects_invalid_batch_size(self, batch_size):
+        with pytest.raises(SchedulingError, match="batch_size"):
+            EngineConfig(mode=SchedulingMode.DI, batch_size=batch_size)
+
+    def test_config_batch_size_defaults_to_one(self):
+        assert EngineConfig(mode=SchedulingMode.DI).batch_size == 1
+
     def test_owned_queues(self):
         graph = graph_with_queues()
         config = ots_config(graph)

@@ -14,7 +14,7 @@ from multiprocessing import shared_memory
 import pytest
 
 from repro.api import Engine
-from repro.core.engine import ThreadedEngine, make_engine, spsc_eligible_queues
+from repro.core.engine import ThreadedEngine, spsc_eligible_queues
 from repro.core.modes import (
     EngineConfig,
     PartitionSpec,
@@ -246,6 +246,30 @@ class TestCrashDetection:
             with pytest.raises(FileNotFoundError):
                 shared_memory.SharedMemory(name=name)
 
+    def test_join_waits_for_an_exited_workers_last_message(self):
+        # An exited worker's "done" or "error" can still be unread in its
+        # pipe; join() must not report completion before the pump has
+        # read it, or the run loses that worker's results or failure.
+        import threading
+        from types import SimpleNamespace
+
+        from repro.mp.process_engine import _WorkerHandle
+
+        graph, _ = build_pipeline(10)
+        engine = ProcessEngine(graph, gts_config(graph, backend="process"))
+        handle = _WorkerHandle("p", "partition", SimpleNamespace(exitcode=1), None)
+        engine._handles.append(handle)
+        pump_stop = threading.Event()
+        engine._pump_thread = threading.Thread(target=pump_stop.wait)
+        engine._pump_thread.start()
+        try:
+            assert not engine.join(timeout=0.05)
+            handle.done.set()  # the pump read the final message
+            assert engine.join(timeout=1.0)
+        finally:
+            pump_stop.set()
+            engine.close()
+
     def test_run_raises_scheduling_error_on_crash(self):
         import threading
 
@@ -273,21 +297,19 @@ class TestCrashDetection:
 
 
 class TestValidation:
-    def test_make_engine_selects_backend_and_deprecates(self):
+    def test_from_graph_selects_backend(self):
         graph, _ = build_pipeline(10)
         config = gts_config(graph, backend="process")
-        with pytest.warns(DeprecationWarning, match="open_engine"):
-            assert isinstance(make_engine(graph, config), ProcessEngine)
+        with Engine.from_graph(graph, config=config) as engine:
+            assert isinstance(engine.inner, ProcessEngine)
 
     def test_stats_registry_unsupported(self):
         from repro.stats.estimators import StatisticsRegistry
 
         graph, _ = build_pipeline(10)
         config = gts_config(graph, backend="process")
-        with pytest.raises(SchedulingError, match="statistics"), pytest.warns(
-            DeprecationWarning
-        ):
-            make_engine(graph, config, stats=StatisticsRegistry())
+        with pytest.raises(SchedulingError, match="statistics"):
+            Engine.from_graph(graph, config=config, stats=StatisticsRegistry())
 
     def test_region_disjointness_rejects_split_join(self):
         # left -> qL -> join <- qR <- right: OTS puts qL and qR in

@@ -96,7 +96,7 @@ class TestOffModeZeroInstrumentation:
     def test_dispatch_plans_byte_identical(self):
         # Two dispatchers over the same graph, one observed — the
         # compiled plans must serialize to the exact same bytes
-        # (observation lives in _invoke, never in the plan).
+        # (observation lives in _invoke_batch, never in the plan).
         graph, _ = build_small_graph()
         plain = Dispatcher(graph)
         observed = Dispatcher(graph, observer=MetricsRegistry())
