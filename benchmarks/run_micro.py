@@ -230,6 +230,48 @@ def bench_windowed_aggregate_batched(n: int, batch: int) -> float:
     return checksum
 
 
+def _bucket(value: int) -> int:
+    return value % 16
+
+
+def _tenth(value: int) -> float:
+    return value / 10
+
+
+def _grouped_aggregates():
+    """A grouped max and an ungrouped float avg over a 1,000 ns window."""
+    return (
+        WindowedAggregate(window_ns=1_000, aggregate="max", key_fn=_bucket),
+        WindowedAggregate(window_ns=1_000, aggregate="avg", value_fn=_tenth),
+    )
+
+
+def _grouped_elements(n: int) -> List[StreamElement]:
+    return [StreamElement(value=(i * 7919) % 1000, timestamp=i) for i in range(n)]
+
+
+def bench_windowed_aggregate_grouped_scalar(n: int, batch: int) -> list:
+    by_group, average = _grouped_aggregates()
+    maxima, averages = 0, 0.0
+    for element in _grouped_elements(n):
+        maxima += by_group.process(element)[0].value[1]
+        averages += average.process(element)[0].value
+    return [maxima, averages]
+
+
+def bench_windowed_aggregate_grouped_batched(n: int, batch: int) -> list:
+    by_group, average = _grouped_aggregates()
+    elements = _grouped_elements(n)
+    maxima, averages = 0, 0.0
+    for start in range(0, n, batch):
+        chunk = elements[start : start + batch]
+        for out in by_group.process_batch(chunk):
+            maxima += out.value[1]
+        for out in average.process_batch(chunk):
+            averages += out.value
+    return [maxima, averages]
+
+
 def _build_fused_chain():
     """8-stage straight-line VO: maps interleaved with filters."""
     build = QueryBuilder()
@@ -298,6 +340,12 @@ PAIRS: Dict[str, Dict[str, Callable[[int, int], int]]] = {
         "scalar": bench_windowed_aggregate_scalar,
         "batched": bench_windowed_aggregate_batched,
     },
+    # Grouped max (per-group monotonic deques) and float avg (exact
+    # scaled-integer sums): the per-group incremental paths.
+    "windowed_aggregate_grouped": {
+        "scalar": bench_windowed_aggregate_grouped_scalar,
+        "batched": bench_windowed_aggregate_grouped_batched,
+    },
     "fused_vo_chain": {
         "scalar": bench_fused_vo_chain_scalar,
         "batched": bench_fused_vo_chain_batched,
@@ -350,10 +398,11 @@ def _profile_to_stderr(name: str, variant: str, fn, n: int, batch: int) -> None:
 
 
 def _git_sha() -> str:
+    """Short HEAD commit, suffixed ``-dirty`` when tracked files differ."""
     try:
         return (
             subprocess.run(
-                ["git", "rev-parse", "--short", "HEAD"],
+                ["git", "describe", "--always", "--dirty", "--exclude=*"],
                 cwd=REPO_ROOT,
                 capture_output=True,
                 text=True,

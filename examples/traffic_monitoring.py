@@ -28,7 +28,7 @@ from repro import (
 )
 from repro.core import build_virtual_operators
 from repro.graph import derive_rates
-from repro.operators import IncrementalAggregate
+from repro.operators import WindowedAggregate
 from repro.stats import StatisticsRegistry
 
 SECOND = 1_000_000_000
@@ -78,11 +78,7 @@ def build_query():
         selectivity=8.0,
     )
     # O(1)-per-element sliding count of alerts in the last second.
-    (
-        joined.through(
-            IncrementalAggregate(window_ns=SECOND, aggregate="count")
-        ).into(sink)
-    )
+    joined.through(WindowedAggregate(window_ns=SECOND, aggregate="count")).into(sink)
     return build.graph(), sink
 
 

@@ -122,7 +122,14 @@ class Stream:
         value_fn: Callable[[Any], Any] | None = None,
         cost_ns: float | None = None,
     ) -> "Stream":
-        """Continuous windowed aggregate (per element)."""
+        """Continuous sliding-window aggregate, one output per element.
+
+        Built-in aggregates (``count``, ``sum``, ``avg``, ``min``,
+        ``max``) are kept incrementally per group, O(1) amortized per
+        element; a callable is recomputed over its group's in-window
+        values.  See :class:`~repro.operators.aggregate.WindowedAggregate`
+        for the float-sum exactness contract.
+        """
         return self.through(
             WindowedAggregate(
                 window_ns,

@@ -373,9 +373,11 @@ class ProcessEngine:
         handle = _WorkerHandle(
             spec.name, "partition", process, parent_conn, permit_parent
         )
+        # Listed only once started: the pump reads every listed worker's
+        # sentinel, which an unstarted process does not have yet.
         with self._handles_lock:
+            process.start()
             self._handles.append(handle)
-        process.start()
         child_conn.close()
         if permit_child is not None:
             permit_child.close()
@@ -409,9 +411,9 @@ class ProcessEngine:
             daemon=True,
         )
         handle = _WorkerHandle(ctx.name, "source", process, parent_conn)
-        with self._handles_lock:
+        with self._handles_lock:  # listed only once started, as above
+            process.start()
             self._handles.append(handle)
-        process.start()
         child_conn.close()
         return handle
 

@@ -1,10 +1,6 @@
 """Push-based physical operators (level 1 of the HMTS architecture)."""
 
-from repro.operators.aggregate import (
-    AGGREGATE_FUNCTIONS,
-    IncrementalAggregate,
-    WindowedAggregate,
-)
+from repro.operators.aggregate import WindowedAggregate
 from repro.operators.base import Operator, StatelessOperator
 from repro.operators.dedup import WindowedDistinct
 from repro.operators.costed import (
@@ -29,8 +25,6 @@ __all__ = [
     "FlatMapOperator",
     "Union",
     "WindowedAggregate",
-    "IncrementalAggregate",
-    "AGGREGATE_FUNCTIONS",
     "SymmetricHashJoin",
     "SymmetricNestedLoopsJoin",
     "QueueOperator",

@@ -18,7 +18,7 @@ from repro.core.dataflow import Dispatcher
 from repro.core.engine import ThreadedEngine
 from repro.core.modes import di_config, gts_config, hmts_config, ots_config
 from repro.graph.builder import QueryBuilder
-from repro.operators.aggregate import IncrementalAggregate, WindowedAggregate
+from repro.operators.aggregate import WindowedAggregate
 from repro.operators.dedup import WindowedDistinct
 from repro.operators.joins import SymmetricHashJoin, SymmetricNestedLoopsJoin
 from repro.operators.projection import FlatMapOperator, MapOperator, Projection
@@ -62,6 +62,10 @@ def assert_same_stream(got, expected):
     ]
 
 
+def tenth(value):
+    return value / 10
+
+
 OPERATORS = {
     "selection": lambda: Selection(lambda v: v % 3 != 0),
     "simulated-selection": lambda: SimulatedSelection(0.73),
@@ -77,14 +81,15 @@ OPERATORS = {
     "aggregate-max-grouped": lambda: WindowedAggregate(
         window_ns=4_000, aggregate="max", key_fn=lambda v: v % 3
     ),
-    "incremental-sum": lambda: IncrementalAggregate(
-        window_ns=4_000, aggregate="sum"
+    # Float values exercise the exact scaled-integer accumulator.
+    "aggregate-float-sum": lambda: WindowedAggregate(
+        window_ns=4_000, aggregate="sum", value_fn=tenth
     ),
-    "incremental-avg": lambda: IncrementalAggregate(
-        window_ns=4_000, aggregate="avg"
+    "aggregate-float-avg": lambda: WindowedAggregate(
+        window_ns=4_000, aggregate="avg", value_fn=tenth
     ),
-    "incremental-count": lambda: IncrementalAggregate(
-        window_ns=4_000, aggregate="count"
+    "aggregate-float-count": lambda: WindowedAggregate(
+        window_ns=4_000, aggregate="count", value_fn=tenth
     ),
 }
 

@@ -65,6 +65,27 @@ def build_pipeline(n=N):
     return build.graph(), sink
 
 
+class SlowStartContext:
+    """A multiprocessing context whose processes start a few polls late."""
+
+    def __init__(self, context):
+        self._context = context
+
+    def __getattr__(self, name):
+        return getattr(self._context, name)
+
+    def Process(self, *args, **kwargs):
+        process = self._context.Process(*args, **kwargs)
+        start = process.start
+
+        def slow_start():
+            time.sleep(0.2)
+            start()
+
+        process.start = slow_start
+        return process
+
+
 class GatedSource(Source):
     """Emits ``head`` elements, blocks on an event, then emits the rest.
 
@@ -158,8 +179,14 @@ class TestControlPlane:
         assert engine.errors == []
         assert sink.values == [triple(v) + 1 for v in range(800)]
 
-    def test_reconfigure_ots_to_hmts_mid_run(self):
-        """Mode switch across processes with stateful-operator migration."""
+    @pytest.mark.parametrize("slow_start", [False, True])
+    def test_reconfigure_ots_to_hmts_mid_run(self, slow_start):
+        """Mode switch across processes with stateful-operator migration.
+
+        With ``slow_start`` the workers that reconfigure forks take a few
+        pump polls to start, so the running pump must never meet a
+        listed worker that has not started.
+        """
         gate = multiprocessing.get_context("fork").Event()
         n = 600
         build = QueryBuilder()
@@ -180,6 +207,8 @@ class TestControlPlane:
         assert config.mode is SchedulingMode.OTS
         engine = ProcessEngine(graph, config)
         engine.start()
+        if slow_start:
+            engine._mp = SlowStartContext(engine._mp)
         try:
             for handle in engine._handles:
                 assert handle.ready.wait(10)

@@ -16,7 +16,7 @@ import pickle
 
 import pytest
 
-from repro.operators.aggregate import IncrementalAggregate, WindowedAggregate
+from repro.operators.aggregate import WindowedAggregate
 from repro.operators.dedup import WindowedDistinct
 from repro.operators.joins import SymmetricHashJoin, SymmetricNestedLoopsJoin
 from repro.operators.projection import FlatMapOperator, MapOperator, Projection
@@ -51,7 +51,7 @@ OPERATOR_FACTORIES = {
     "windowed_aggregate": lambda: WindowedAggregate(
         window_ns=40, aggregate="sum", key_fn=bucket
     ),
-    "incremental_aggregate": lambda: IncrementalAggregate(window_ns=40, aggregate="avg"),
+    "windowed_aggregate_avg": lambda: WindowedAggregate(window_ns=40, aggregate="avg"),
     "windowed_distinct": lambda: WindowedDistinct(window_ns=25, key_fn=bucket),
     "symmetric_hash_join": lambda: SymmetricHashJoin(window_ns=30),
     "symmetric_nested_loops_join": lambda: SymmetricNestedLoopsJoin(window_ns=30),
